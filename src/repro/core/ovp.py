@@ -224,9 +224,20 @@ class OVPairCodec:
         return a_is_outlier, b_is_outlier
 
     def _encode_normal_values(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised normal-value encode: quantize, then map value → code."""
-        quantized = self.normal_dtype.quantize(values)
-        idx = np.searchsorted(self.normal_dtype.values, quantized)
+        """Vectorised normal-value encode: quantize, then map value → code.
+
+        On a consecutive-integer grid (``int4``/``int8``, the KV-page types)
+        a quantized value's index in the sorted ``values`` is
+        ``value + max_value`` in closed form, which skips the
+        ``searchsorted`` walk.  Callers must pass finite values.
+        """
+        dtype = self.normal_dtype
+        quantized = dtype.quantize(values)
+        if dtype.uniform_int_grid:
+            quantized += dtype.values[-1]
+            idx = quantized.astype(np.intp)
+        else:
+            idx = np.searchsorted(dtype.values, quantized)
         return self._normal_value_codes[idx]
 
     def _encode_outlier_values(self, values: np.ndarray) -> np.ndarray:
@@ -266,6 +277,8 @@ class OVPairCodec:
 
     def _encode_grid(self, grid: np.ndarray, threshold: float) -> np.ndarray:
         """Encode an even-length grid array into one code per element."""
+        if not np.isfinite(grid).all():
+            raise EncodingError("cannot OVP-encode non-finite values (NaN or inf)")
         pairs = grid.reshape(-1, 2)
         a, b = pairs[:, 0], pairs[:, 1]
         a_is_outlier, b_is_outlier = self._pair_outlier_masks(a, b, threshold)

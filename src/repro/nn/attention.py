@@ -353,10 +353,11 @@ class MultiHeadAttention(Module):
             past = cache.seq_len
             cache.append(k_new[i], v_new[i])
             k, v = cache.kv()  # (heads, past + t_new, head_dim)
-            scores = q[i] @ k.transpose(0, 2, 1) / np.sqrt(self.head_dim)
+            scores = q[i] @ k.transpose(0, 2, 1)
+            scores /= np.sqrt(self.head_dim)
             if t_new > 1:
-                scores = scores + F.incremental_causal_mask(past, t_new)[None]
-            attended[i] = F.softmax(scores, axis=-1) @ v
+                scores += F.incremental_causal_mask(past, t_new)[None]
+            np.matmul(F.softmax(scores, axis=-1), v, out=attended[i])
         return self.out_proj(self._merge_heads(attended))
 
     #: Ragged decode-round attend kernel: "bucketed" (length-bucketed GEMMs,

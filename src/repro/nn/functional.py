@@ -22,22 +22,39 @@ __all__ = [
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    # Every kernel below allocates its output once (``out=empty_like`` keeps
+    # a 0-d input on an array, so the in-place ufuncs work on it) and
+    # finishes in place: the float64 temporaries, not the arithmetic,
+    # dominate these ops at serving shapes.
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=np.empty_like(x))
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=np.empty_like(x))
+    out -= np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation, as used by BERT/GPT-2)."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+    # ``x * x * x`` rather than ``x ** 3``: float64 ``pow`` costs most of
+    # the op.  The two round differently, by a few ulp.
+    out = np.multiply(x, x, out=np.empty_like(x))
+    out *= x
+    out *= 0.044715
+    out += x
+    out *= np.sqrt(2.0 / np.pi)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -53,10 +70,15 @@ def layer_norm(
 ) -> np.ndarray:
     """Layer normalisation over the last axis with affine parameters."""
     x = np.asarray(x, dtype=np.float64)
-    mean = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
-    normed = (x - mean) / np.sqrt(var + eps)
-    return normed * gamma + beta
+    out = x - np.mean(x, axis=-1, keepdims=True)
+    # ``mean(square(x - mean))`` is how ``np.var`` computes the variance.
+    scale = np.mean(np.square(out), axis=-1, keepdims=True)
+    scale += eps
+    np.sqrt(scale, out=scale)
+    out /= scale
+    out *= gamma
+    out += beta
+    return out
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

@@ -50,7 +50,7 @@ class Linear(Module):
         else:
             out = x @ self.weight.data.T
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         return out
 
     def gemm_shape(self, batch_tokens: int) -> tuple:

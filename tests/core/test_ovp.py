@@ -8,6 +8,7 @@ from repro.core.abfloat import ABFLOAT_E2M1, ABFLOAT_E4M3
 from repro.core.dtypes import FLINT4, INT4, INT8
 from repro.core.errors import EncodingError
 from repro.core.ovp import OVPairCodec, PairKind
+from repro.serve.kvcache import KVCacheConfig
 
 
 @pytest.fixture
@@ -207,3 +208,78 @@ class TestBatchCodecPaths:
             codec4.encode_tensor_batch([np.zeros(8)], [1.0, 2.0], 7.0)
         with pytest.raises(EncodingError):
             codec4.encode_tensor_batch([], [], 7.0)
+
+
+class SearchsortedLookupCodec(OVPairCodec):
+    """Oracle: maps quantized normal values to codes with ``searchsorted``."""
+
+    def _encode_normal_values(self, values):
+        quantized = self.normal_dtype.quantize(values)
+        idx = np.searchsorted(self.normal_dtype.values, quantized)
+        return self._normal_value_codes[idx]
+
+
+def _edge_grid(max_value, threshold):
+    """Grid values at every edge of the normal-value lookup, plus outlier pairs."""
+    ties = np.arange(-max_value - 1, max_value + 1) + 0.5
+    normals = np.concatenate(
+        [
+            ties,
+            np.nextafter(ties, np.inf),
+            np.nextafter(ties, -np.inf),
+            [0.0, -0.0, 1e-300, -1e-300, max_value, -max_value],
+            # Saturating normals: past +-max but not past the threshold.
+            [max_value + 0.49, -(max_value + 0.5), threshold, -threshold],
+            np.random.default_rng(7).normal(0.0, max_value / 2.0, size=64),
+        ]
+    )
+    outlier_pairs = [
+        (4.0 * threshold, 1.0),
+        (-2.0, -3.0 * threshold),
+        (5.0 * threshold, -6.0 * threshold),  # outlier-outlier: the larger wins
+        (-2.5 * threshold, 2.5 * threshold),
+    ]
+    grid = np.concatenate([normals, np.ravel(outlier_pairs)])
+    return grid if grid.size % 2 == 0 else np.append(grid, -0.0)
+
+
+class TestClosedFormCodeLookup:
+    """int4/int8 map value → code in closed form; ``searchsorted`` is the oracle."""
+
+    @pytest.mark.parametrize("codec_name, threshold", [("codec4", 9.0), ("codec8", 130.0)])
+    def test_codes_match_searchsorted_path_and_scalar_oracle(
+        self, codec_name, threshold, request
+    ):
+        codec = request.getfixturevalue(codec_name)
+        assert codec.normal_dtype.uniform_int_grid
+        grid = _edge_grid(codec.normal_dtype.max_value, threshold)
+        fast = codec.encode_tensor(grid, 1.0, threshold)
+        reference = SearchsortedLookupCodec(
+            codec.normal_dtype, codec.abfloat_type, codec.bias
+        ).encode_tensor(grid, 1.0, threshold)
+        scalar = codec.encode_tensor_scalar(grid, 1.0, threshold)
+        np.testing.assert_array_equal(fast.data, reference.data)
+        np.testing.assert_array_equal(fast.data, scalar.data)
+        (batched,) = codec.encode_tensor_batch([grid], [1.0], threshold)
+        np.testing.assert_array_equal(batched.data, fast.data)
+
+
+NON_FINITE_CODECS = {
+    "int4": lambda: OVPairCodec(INT4, ABFLOAT_E2M1, bias=2),
+    "int8": lambda: OVPairCodec(INT8, ABFLOAT_E4M3, bias=4),
+    "flint4": lambda: OVPairCodec(FLINT4, ABFLOAT_E2M1, bias=3),
+    "kv-page": lambda: KVCacheConfig().make_codec(),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("codec_name", sorted(NON_FINITE_CODECS))
+    def test_both_entry_points_raise_encoding_error(self, codec_name, bad):
+        codec = NON_FINITE_CODECS[codec_name]()
+        tensor = np.random.default_rng(8).normal(0.0, 1.0, size=(4, 16))
+        tensor[2, 5] = bad
+        with pytest.raises(EncodingError, match="non-finite"):
+            codec.encode_tensor(tensor, 0.5, 7.0)
+        with pytest.raises(EncodingError, match="non-finite"):
+            codec.encode_tensor_batch([np.zeros(8), tensor], [1.0, 0.5], 7.0)
