@@ -241,9 +241,7 @@ def test_bench_gateway_chunked_token_identity(benchmark, serve_trajectory):
         generated = {}
         for _ in range(300):
             for result in scheduler.step():
-                generated[result.request_id] = list(
-                    result.output["generated_tokens"]
-                )
+                generated[result.request_id] = list(result.output.token_ids)
             if not len(scheduler):
                 break
         return [generated[r.request_id] for r in requests]

@@ -6,7 +6,8 @@ path.  The model forward dominates a round, so the pipeline must stay in
 the noise: sampled decode is pinned to **≤ 10% overhead over greedy** at
 batch 8.  The greedy path itself is pinned to equivalence — the
 ``SamplingParams(temperature=0)`` stream must be token-for-token what the
-legacy ``max_new_tokens=`` kwargs produce.
+``InferenceRequest(max_new_tokens=)`` shorthand (default greedy sampling)
+produces.
 
 The headline numbers land in the ``BENCH_serve.json`` trajectory artifact
 (section ``sampling``).
@@ -81,16 +82,17 @@ def test_bench_sampled_decode_overhead_within_10pct(
         pairs.append((sampled / greedy, greedy, sampled))
     _, greedy_seconds, sampled_seconds = min(pairs)
 
-    # Equivalence: the explicit temperature=0 params are the legacy greedy path.
+    # Equivalence: the explicit temperature=0 params are the shorthand's
+    # default greedy path.
     greedy_results = {r.request_id: r.output.token_ids for r in drain(greedy_params)}
-    legacy = ContinuousBatchingScheduler(
+    shorthand = ContinuousBatchingScheduler(
         repository,
         num_slots=BATCH,
         cache_config=KVCacheConfig(bits=4, page_size=8, prefix_sharing=False),
     )
     rng = np.random.default_rng(123)
-    legacy_ids = [
-        legacy.submit(
+    shorthand_ids = [
+        shorthand.submit(
             InferenceRequest(
                 MODEL,
                 WorkloadFamily.LM,
@@ -100,9 +102,9 @@ def test_bench_sampled_decode_overhead_within_10pct(
         )
         for _ in range(BATCH)
     ]
-    legacy_results = {r.request_id: r.output.token_ids for r in legacy.run_until_idle()}
+    shorthand_results = {r.request_id: r.output.token_ids for r in shorthand.run_until_idle()}
     assert list(greedy_results.values()) == [
-        legacy_results[request_id] for request_id in legacy_ids
+        shorthand_results[request_id] for request_id in shorthand_ids
     ]
 
     overhead = sampled_seconds / greedy_seconds - 1.0

@@ -110,7 +110,7 @@ def _drain(repository, speculative=None):
     for request in requests:
         scheduler.submit(request)
     outputs = {
-        r.request_id: list(r.output["generated_tokens"])
+        r.request_id: list(r.output.token_ids)
         for r in scheduler.run_until_idle()
     }
     return [outputs[request.request_id] for request in requests], stats.summary()
@@ -140,7 +140,7 @@ def _bucket_decode(repository, mode):
         scheduler.step()  # admit + prefill every slot outside the timer
         start = time.perf_counter()
         outputs = {
-            r.request_id: list(r.output["generated_tokens"])
+            r.request_id: list(r.output.token_ids)
             for r in scheduler.run_until_idle()
         }
         elapsed = time.perf_counter() - start

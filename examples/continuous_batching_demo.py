@@ -10,7 +10,9 @@ stream of LM generation requests with wildly mixed token budgets and shows
 2. the **KV-cache memory story**: each sequence's K/V pages are sealed into
    memory-aligned OVP byte streams as it decodes, printed next to the bytes
    an fp32 cache would need for the same tokens;
-3. the throughput gap against whole-batch release on the same stream.
+3. the throughput gap against whole-batch release on the same stream,
+   driven by the caller: each wave of ``NUM_SLOTS`` requests is served to
+   completion before the next wave is submitted.
 """
 
 import time
@@ -39,7 +41,6 @@ def make_stream(seed: int = 0):
             WorkloadFamily.LM,
             rng.integers(0, 96, size=8),
             max_new_tokens=budget,
-            top_k=3,
         )
         for budget in budgets
     ]
@@ -60,7 +61,7 @@ def watch_rounds(engine: ServingEngine, requests) -> float:
         rounds += 1
         if rounds % 8 == 0 or retired:
             names = ", ".join(
-                f"{r.request_id}(+{len(r.output['generated_tokens'])} tok)"
+                f"{r.request_id}(+{len(r.output.token_ids)} tok)"
                 for r in retired
             )
             print(f"{rounds:>5} {scheduler.num_active:>6} {scheduler.num_queued:>6} "
@@ -97,10 +98,11 @@ def main() -> None:
         max_batch_size=NUM_SLOTS,
         max_wait=0.0,
         kv_cache_config=KV_CONFIG,
-        continuous_batching=False,
     )
+    stream = make_stream()
     start = time.perf_counter()
-    whole_batch.serve(make_stream())
+    for i in range(0, len(stream), NUM_SLOTS):
+        whole_batch.serve(stream[i:i + NUM_SLOTS])
     whole_seconds = time.perf_counter() - start
 
     print("\n== continuous batching vs whole-batch release ==")

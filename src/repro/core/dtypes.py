@@ -98,11 +98,20 @@ class NormalDataType:
         """
         x = np.asarray(x, dtype=np.float64)
         if self.uniform_int_grid:
-            # Consecutive-integer grid: nearest-with-ties-to-lower is
-            # ``ceil(x - 0.5)`` in closed form, which skips the searchsorted
-            # walk below — the dominant cost of the quantizer threshold sweep.
+            # Consecutive-integer grid: round in closed form, which skips the
+            # searchsorted walk below — the dominant cost of the quantizer
+            # threshold sweep.  ``rint`` is exact and breaks ties to even; a
+            # tie it broke upward (x == rint(x) - 0.5, also exact) steps down
+            # to the lower value.  ``ceil(x - 0.5)`` is shorter but not
+            # exact: x - 0.5 rounds to -1 at x = nextafter(-0.5, 0).  One
+            # buffer, updated in place, keeps the extra passes cheap.
             max_value = float(self.values[-1])
-            return np.clip(np.ceil(x - 0.5), -max_value, max_value)
+            rounded = np.rint(x, out=np.empty_like(x))
+            rounded -= 0.5
+            ties_up = x == rounded
+            rounded += 0.5
+            rounded -= ties_up
+            return np.clip(rounded, -max_value, max_value, out=rounded)
         sorted_vals = self.values
         idx = np.searchsorted(sorted_vals, x)
         idx = np.clip(idx, 1, len(sorted_vals) - 1)

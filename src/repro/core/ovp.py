@@ -334,10 +334,8 @@ class OVPairCodec:
         a, b = pairs[:, 0], pairs[:, 1]
         a_is_outlier, b_is_outlier = self._pair_outlier_masks(a, b, threshold)
 
-        out = np.empty_like(pairs)
         # Normal path for everything first, then overwrite outlier/victim slots.
-        out[:, 0] = self.normal_dtype.quantize(a)
-        out[:, 1] = self.normal_dtype.quantize(b)
+        out = self.normal_dtype.quantize(pairs)
         if np.any(a_is_outlier):
             out[a_is_outlier, 0] = self._quantize_outlier_values(a[a_is_outlier])
             out[a_is_outlier, 1] = 0.0

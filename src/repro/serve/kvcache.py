@@ -974,10 +974,9 @@ class SequenceKVCache:
 def validate_token_budget(model, request) -> None:
     """Reject a generation request that would outgrow ``model``'s positions.
 
-    Shared by the continuous scheduler (per-request failure at admission) and
-    the whole-batch generation path (batch failure), so the two can never
-    drift.  Models without a ``config.max_positions`` are not pre-checked;
-    they fail at decode time instead, which callers already isolate.
+    The continuous scheduler runs it at admission (a per-request failure).
+    Models without a ``config.max_positions`` are not pre-checked; they fail
+    at decode time instead, which the scheduler already isolates.
 
     The final generated token is returned but never fed back through the
     embedding, so a request embeds ``seq_len + max_new_tokens - 1`` positions.

@@ -234,16 +234,6 @@ class ContinuousBatchingScheduler:
         boundaries then land exactly on page seals, so every position
         attends the same mix of quantized/fp32 past either way).  ``None``
         (default) prefills whole prompts in one pass, exactly as before.
-    decode_micro_rounds:
-        Run up to this many plain decode micro-rounds per :meth:`step`
-        (default 1, the historical behaviour).  Amortises the per-step
-        bookkeeping (deadline sweeps, admission, stats records) over
-        several batched model passes when no speculation is configured —
-        the speculative path re-plans proposals every round and therefore
-        ignores this knob.  Trade-off: admission, cancellation and
-        deadline checks happen between steps, so a value of ``m`` makes
-        those up to ``m`` tokens coarser; keep it small (2–4) when
-        latency SLOs are tight.
     """
 
     def __init__(
@@ -260,13 +250,9 @@ class ContinuousBatchingScheduler:
         admission: Optional[AdmissionPolicy] = None,
         health_monitor=None,
         prefill_chunk_tokens: Optional[int] = None,
-        decode_micro_rounds: int = 1,
     ) -> None:
         if num_slots < 1:
             raise ServingError("num_slots must be >= 1")
-        if decode_micro_rounds < 1:
-            raise ServingError("decode_micro_rounds must be >= 1")
-        self.decode_micro_rounds = int(decode_micro_rounds)
         self.repository = repository
         self.num_slots = int(num_slots)
         self.cache_config = cache_config or KVCacheConfig(bits=repository.bits)
@@ -1294,7 +1280,7 @@ class ContinuousBatchingScheduler:
             )
         )
         if resume is not None:
-            top = greedy_top_k(resume.last_log_probs, request.top_k)
+            top = greedy_top_k(resume.last_log_probs, max(1, request.sampling.logprobs))
             output = RequestOutput(
                 request_id=request.request_id,
                 finish_reason=reason,
@@ -1544,15 +1530,8 @@ class ContinuousBatchingScheduler:
                 decoded += self._verify_round(slots, proposals)
             else:
                 # No slot speculates this round: the classic single-token
-                # path, numerically untouched.  Extra micro-rounds amortise
-                # the per-step bookkeeping over several batched passes;
-                # finished slots drop out between micro-iterations.
+                # path, numerically untouched.
                 decoded += self._plain_round(slots)
-                for _ in range(self.decode_micro_rounds - 1):
-                    alive = [slot for slot in slots if not slot.done]
-                    if not alive:
-                        break
-                    decoded += self._plain_round(alive)
         return decoded
 
     def _plain_round(self, slots: List[_Slot]) -> int:
@@ -1753,7 +1732,7 @@ class ContinuousBatchingScheduler:
             # so there is no final distribution to report candidates from.
             top = {"next_tokens": [], "log_probs": []}
         else:
-            top = greedy_top_k(slot.last_log_probs, request.top_k)
+            top = greedy_top_k(slot.last_log_probs, max(1, request.sampling.logprobs))
         kv_summary = slot.cache.memory_summary()
         kv_summary["prefix_shared_tokens"] = slot.shared_tokens
         output = RequestOutput(

@@ -243,6 +243,13 @@ def _edge_grid(max_value, threshold):
     return grid if grid.size % 2 == 0 else np.append(grid, -0.0)
 
 
+def _searchsorted_quantize(values, x):
+    """Nearest grid value (ties to the lower one) by a searchsorted walk."""
+    idx = np.clip(np.searchsorted(values, x), 1, len(values) - 1)
+    left, right = values[idx - 1], values[idx]
+    return np.where(np.abs(x - left) <= np.abs(right - x), left, right)
+
+
 class TestClosedFormCodeLookup:
     """int4/int8 map value → code in closed form; ``searchsorted`` is the oracle."""
 
@@ -252,7 +259,18 @@ class TestClosedFormCodeLookup:
     ):
         codec = request.getfixturevalue(codec_name)
         assert codec.normal_dtype.uniform_int_grid
-        grid = _edge_grid(codec.normal_dtype.max_value, threshold)
+        # Just inside each midpoint: x - 0.5 is inexact at nextafter(-0.5, 0).
+        ties = np.arange(4) + 0.5
+        toward_zero = np.nextafter(np.concatenate([ties, -ties]), 0)
+        grid = np.concatenate(
+            [_edge_grid(codec.normal_dtype.max_value, threshold), toward_zero]
+        )
+        # The scalar oracle and the reference codec share quantize(), so
+        # check it against the searchsorted formula on its own first.
+        np.testing.assert_array_equal(
+            codec.normal_dtype.quantize(grid),
+            _searchsorted_quantize(codec.normal_dtype.values, grid),
+        )
         fast = codec.encode_tensor(grid, 1.0, threshold)
         reference = SearchsortedLookupCodec(
             codec.normal_dtype, codec.abfloat_type, codec.bias

@@ -41,7 +41,7 @@ def run_to_completion(scheduler, requests, max_steps=500):
     steps = 0
     while scheduler.num_queued or scheduler.num_active:
         for result in scheduler.step():
-            outputs[result.request_id] = list(result.output["generated_tokens"])
+            outputs[result.request_id] = list(result.output.token_ids)
         steps += 1
         assert steps < max_steps, "scheduler did not drain"
     return outputs
@@ -147,8 +147,8 @@ class TestLifecycle:
         scheduler.step()  # first chunk only
         result = scheduler.cancel(request.request_id)
         assert result is not None
-        assert result.output["finish_reason"] == "aborted"
-        assert result.output["generated_tokens"] == []
+        assert result.output.finish_reason == "aborted"
+        assert result.output.token_ids == []
         assert scheduler.num_active == 0
 
     def test_deadline_mid_prefill(self, repo):
@@ -164,7 +164,7 @@ class TestLifecycle:
         clock["t"] = 5.0  # expire while still prefilling
         results = scheduler.step()
         expired = [r for r in results if r.request_id == request.request_id]
-        assert expired and expired[0].output["finish_reason"] == "deadline"
+        assert expired and expired[0].output.finish_reason == "deadline"
 
     def test_validation(self, repo):
         with pytest.raises(ServingError):
@@ -191,7 +191,7 @@ class TestLifecycle:
             results += engine.step(force=True)
             if results:
                 break
-        assert results[0].output["finish_reason"] == "length"
+        assert results[0].output.finish_reason == "length"
 
 
 class TestPrefixSharingWithChunks:

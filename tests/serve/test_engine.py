@@ -7,6 +7,7 @@ from repro.serve.batcher import QueuedRequest
 from repro.serve.engine import InferenceEngine, ServingEngine
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
+from repro.serve.sampling import SamplingParams
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +57,22 @@ class TestFamilies:
             assert 0 <= result.output["start"] <= result.output["end"] < 24
 
     def test_lm_outputs(self, engine):
-        requests = make_requests(2, "gpt2-xl", WorkloadFamily.LM, top_k=5)
+        requests = make_requests(
+            2, "gpt2-xl", WorkloadFamily.LM, sampling=SamplingParams(logprobs=5)
+        )
         results, _ = engine.run_batch(queued(requests))
         for result in results:
-            assert len(result.output["next_tokens"]) == 5
-            log_probs = result.output["log_probs"]
+            assert len(result.output.next_tokens) == 5
+            log_probs = result.output.log_probs
             assert all(b <= a for a, b in zip(log_probs, log_probs[1:]))
+            assert result.output.finish_reason is None
+            assert result.output.token_ids == []
+
+    def test_generation_request_rejected(self, engine):
+        """run_batch only scores; generation belongs to the scheduler."""
+        requests = make_requests(1, "gpt2-xl", WorkloadFamily.LM, max_new_tokens=2)
+        with pytest.raises(ServingError, match="ContinuousBatchingScheduler"):
+            engine.run_batch(queued(requests))
 
     def test_num_classes_does_not_fragment_lm_batches(self):
         rng = np.random.default_rng(12)
@@ -74,20 +85,23 @@ class TestFamilies:
         d = InferenceRequest("bert-base", WorkloadFamily.CLASSIFY, tokens, num_classes=5)
         assert c.batch_key != d.batch_key
 
-    def test_lm_top_k_is_per_request_within_a_batch(self, engine):
-        """Different top_k values batch together and each gets its own k."""
+    def test_lm_report_width_is_per_request_within_a_batch(self, engine):
+        """Different logprobs widths batch together and each gets its own."""
         rng = np.random.default_rng(9)
         tokens = rng.integers(0, 96, size=16)
         requests = [
-            InferenceRequest("gpt2-xl", WorkloadFamily.LM, tokens, top_k=k)
-            for k in (1, 5, 3)
+            InferenceRequest(
+                "gpt2-xl", WorkloadFamily.LM, tokens, sampling=SamplingParams(logprobs=k)
+            )
+            for k in (0, 5, 3)
         ]
         assert len({r.batch_key for r in requests}) == 1  # still one batch
         results, record = engine.run_batch(queued(requests))
         assert record.batch_size == 3
-        assert [len(r.output["next_tokens"]) for r in results] == [1, 5, 3]
-        # Same input row: the top-1 candidate must agree across k values.
-        assert results[0].output["next_tokens"][0] == results[1].output["next_tokens"][0]
+        # logprobs=0 still reports the single best candidate.
+        assert [len(r.output.next_tokens) for r in results] == [1, 5, 3]
+        # Same input row: the top-1 candidate must agree across widths.
+        assert results[0].output.next_tokens[0] == results[1].output.next_tokens[0]
 
     def test_batched_equals_unbatched(self, engine):
         """Batch membership must not change any request's answer."""

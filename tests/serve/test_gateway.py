@@ -328,7 +328,7 @@ class TestAsyncHelper:
                 result = await gateway.infer_async(
                     server, "key-interactive", lm_request(seed=60)
                 )
-                assert result.output["finish_reason"] == "length"
+                assert result.output.finish_reason == "length"
                 assert gateway.inflight("interactive") == 0
                 with pytest.raises(AuthenticationError):
                     await gateway.infer_async(server, "bad", lm_request(seed=61))

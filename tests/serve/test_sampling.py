@@ -20,9 +20,10 @@ from repro.serve import (
     default_processors,
     top_k_candidates,
 )
-from repro.serve.kvcache import cache_for_model
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
 from repro.serve.scheduler import ContinuousBatchingScheduler, greedy_top_k
+
+from lm_oracle import reference_decode
 
 
 @pytest.fixture(scope="module")
@@ -81,36 +82,23 @@ class TestSamplingParams:
         assert params.stop_token_ids == (3, 7)
 
 
-class TestLegacyShim:
-    def test_legacy_kwargs_map_into_sampling(self):
-        request = gen_request(max_new_tokens=3, top_k=5)
-        assert request.sampling.max_new_tokens == 3
-        # Legacy top_k names the final-position report only — it must not
-        # buy per-streamed-token logprob work the old decoder never did.
-        assert request.sampling.logprobs == 0
-        assert request.sampling.greedy
-        assert request.top_k == 5 and request.max_new_tokens == 3
+class TestMaxNewTokensShorthand:
+    def test_shorthand_builds_greedy_sampling(self):
+        request = gen_request(max_new_tokens=3)
+        assert request.sampling == SamplingParams(max_new_tokens=3)
+        assert request.max_new_tokens == 3
 
-    def test_sampling_params_mirror_legacy_fields(self):
+    def test_request_mirrors_sampling_budget(self):
         params = SamplingParams(temperature=0.7, max_new_tokens=6, logprobs=2, seed=1)
         request = sampled_request(params)
         assert request.max_new_tokens == 6
-        assert request.top_k == 2
         assert request.sampling is params
+        # An equal shorthand alongside sampling= is redundant, not a conflict.
+        assert gen_request(max_new_tokens=6, sampling=params).sampling is params
 
-    def test_conflicting_kwargs_rejected(self):
+    def test_conflicting_budgets_rejected(self):
         with pytest.raises(ServingError, match="not both"):
             gen_request(max_new_tokens=3, sampling=SamplingParams(max_new_tokens=5))
-        with pytest.raises(ServingError, match="not both"):
-            gen_request(
-                max_new_tokens=0, top_k=7, sampling=SamplingParams(max_new_tokens=2)
-            )
-
-    def test_legacy_validation_preserved(self):
-        with pytest.raises(ServingError):
-            gen_request(max_new_tokens=-1)
-        with pytest.raises(ServingError):
-            gen_request(top_k=0)
 
 
 class TestDeterministicTopK:
@@ -197,53 +185,44 @@ class TestProcessorChain:
 class TestGreedyEquivalence:
     @pytest.mark.parametrize("quantize", [True, False], ids=["packed", "fp32"])
     def test_temperature_zero_matches_manual_argmax_decode(self, repo, quantize):
-        """SamplingParams(temperature=0) must be token-for-token the
-        pre-redesign greedy path on fp32 and packed KV configs."""
+        """SamplingParams(temperature=0) must be token-for-token a
+        hand-rolled argmax decode on fp32 and packed KV configs."""
         config = KVCacheConfig(bits=4, page_size=4, quantize=quantize)
         prompt = np.random.default_rng(50).integers(0, 96, size=10)
-        max_new = 5
-        # Hand-rolled pre-redesign greedy loop straight on the model.
+        params = SamplingParams(temperature=0, max_new_tokens=5)
         entry = repo.get("gpt2-xl", WorkloadFamily.LM)
-        cache = cache_for_model(entry.model, config)
-        lp = entry.model.log_probs_incremental(
-            prompt[None, :], [cache], last_only=True
-        )[:, -1, :]
-        expected = [int(np.argmax(lp[0]))]
-        for _ in range(max_new - 1):
-            lp = entry.model.log_probs_incremental(
-                np.array([[expected[-1]]]), [cache]
-            )[:, -1, :]
-            expected.append(int(np.argmax(lp[0])))
-        cache.release()
+        expected = reference_decode(entry.model, prompt, params, config)
 
         scheduler = ContinuousBatchingScheduler(repo, num_slots=2, cache_config=config)
         scheduler.submit(
-            InferenceRequest(
-                "gpt2-xl",
-                WorkloadFamily.LM,
-                prompt,
-                sampling=SamplingParams(temperature=0, max_new_tokens=max_new),
-            )
+            InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, sampling=params)
         )
         result = scheduler.run_until_idle()[0]
         assert result.output.token_ids == expected
         assert result.output.finish_reason == FinishReason.LENGTH
-        assert result.output["generated_tokens"] == expected  # legacy view
 
-    def test_seeded_sampling_continuous_matches_whole_batch(self, repo):
-        params = SamplingParams(temperature=0.9, top_k=30, seed=11, max_new_tokens=6)
-        outputs = {}
-        for continuous in (True, False):
-            engine = ServingEngine(
-                repository=repo,
-                max_batch_size=2,
-                max_wait=0.0,
-                continuous_batching=continuous,
+    def test_seeded_sampling_matches_per_request_sampler(self, repo):
+        """Co-batched seeded requests each draw exactly what a lone
+        per-request Sampler with its own seeded generator draws."""
+        requests = [
+            sampled_request(
+                SamplingParams(temperature=0.9, top_k=30, seed=11, max_new_tokens=6),
+                seed=4,
+            ),
+            sampled_request(
+                SamplingParams(temperature=1.3, top_p=0.9, seed=12, max_new_tokens=4),
+                seed=5,
+            ),
+        ]
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        results = engine.serve(requests)
+        model = repo.get("gpt2-xl", WorkloadFamily.LM).model
+        for request, result in zip(requests, results):
+            expected = reference_decode(
+                model, request.token_ids, request.sampling, engine.kv_cache_config
             )
-            result = engine.serve([sampled_request(params, seed=4)])[0]
-            outputs[continuous] = result.output.token_ids
-        assert outputs[True] == outputs[False]
-        assert len(outputs[True]) == 6
+            assert result.output.token_ids == expected
+            assert len(expected) == request.max_new_tokens
 
     def test_sampled_run_is_reproducible_per_seed(self, repo):
         params = SamplingParams(temperature=1.2, top_p=0.95, seed=21, max_new_tokens=5)
@@ -282,13 +261,13 @@ class TestStopTokens:
         assert summary.finish_stop == 1
         assert summary.finish_reasons["stop"] == 1
 
-    def test_stop_token_in_whole_batch_mode(self, repo):
-        probe = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        tokens = probe.serve([gen_request(max_new_tokens=4, seed=7)])[0].output.token_ids
-        engine = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
+    def test_stop_token_on_prefill_token(self, repo):
+        """A stop token sampled from the prompt pass ends the stream at once."""
+        request = gen_request(max_new_tokens=4, seed=7)
+        model = repo.get("gpt2-xl", WorkloadFamily.LM).model
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        tokens = reference_decode(
+            model, request.token_ids, request.sampling, engine.kv_cache_config
         )
         stopped = engine.serve(
             [
@@ -455,8 +434,8 @@ class TestGeneratedSuffixSharing:
         )
         second = scheduler.run_until_idle()[0]
         # prompt(16) + generated-but-unfed(7) = 23 tokens sealed → 5 pages.
-        assert second.output["kv_cache"]["prefix_shared_tokens"] == 20
-        assert second.output["kv_cache"]["prefix_shared_tokens"] > prompt.size - 4
+        assert second.output.kv_cache["prefix_shared_tokens"] == 20
+        assert second.output.kv_cache["prefix_shared_tokens"] > prompt.size - 4
 
     def test_flag_off_registers_prompt_pages_only(self, repo):
         config = KVCacheConfig(bits=4, page_size=4)
@@ -483,33 +462,33 @@ class TestGeneratedSuffixSharing:
         assert pool.num_shared_pages == 0
 
 
-class TestRequestOutputCompat:
-    def test_score_only_output_legacy_view(self, repo):
+class TestRequestOutput:
+    def test_score_only_output_fields(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
         result = engine.serve(
-            [InferenceRequest("gpt2-xl", WorkloadFamily.LM, np.arange(8), top_k=3)]
+            [
+                InferenceRequest(
+                    "gpt2-xl",
+                    WorkloadFamily.LM,
+                    np.arange(8),
+                    sampling=SamplingParams(logprobs=3),
+                )
+            ]
         )[0]
         output = result.output
         assert isinstance(output, RequestOutput)
         assert output.finish_reason is None
-        assert "next_tokens" in output and "generated_tokens" not in output
-        assert len(output["next_tokens"]) == 3
-        assert output.get("generated_tokens", "missing") == "missing"
+        assert output.token_ids == [] and output.kv_cache is None
+        assert len(output.next_tokens) == len(output.log_probs) == 3
+        assert not hasattr(output, "__getitem__")
 
-    def test_generation_output_legacy_view(self, repo):
+    def test_generation_output_fields(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
         result = engine.serve([gen_request(max_new_tokens=3, seed=80)])[0]
         output = result.output
-        assert output["generated_tokens"] == output.token_ids
-        assert output["kv_cache"]["seq_len"] > 0
-        assert output["finish_reason"] == FinishReason.LENGTH
-        assert sorted(output.keys()) == [
-            "finish_reason",
-            "generated_tokens",
-            "kv_cache",
-            "log_probs",
-            "next_tokens",
-        ]
+        assert output.kv_cache["seq_len"] > 0
+        assert output.finish_reason == FinishReason.LENGTH
+        assert len(output.next_tokens) == 1  # logprobs=0 reports the top-1
         assert output.num_generated == 3
         assert len(output.logprobs) == 3
         as_dict = output.as_dict()

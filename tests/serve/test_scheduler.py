@@ -7,7 +7,10 @@ from repro.serve.engine import ServingEngine
 from repro.serve.kvcache import KVCacheConfig
 from repro.serve.repository import ModelRepository
 from repro.serve.requests import InferenceRequest, ServingError, WorkloadFamily
+from repro.serve.sampling import SamplingParams
 from repro.serve.scheduler import ContinuousBatchingScheduler
+
+from lm_oracle import reference_decode
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +57,7 @@ class TestSlotLifecycle:
 
         first = scheduler.step()  # admits 2, prefill = first token each
         # The 1-token request completes straight from prefill and retires.
-        assert [len(r.output["generated_tokens"]) for r in first] == [1]
+        assert [len(r.output.token_ids) for r in first] == [1]
         assert scheduler.num_active == 1  # 3-token request still decoding
         assert scheduler.num_queued == 1
 
@@ -66,26 +69,21 @@ class TestSlotLifecycle:
         assert len(remaining) == 2
         assert len(scheduler) == 0
         assert scheduler.retired == 3
-        lengths = {r.request_id: len(r.output["generated_tokens"]) for r in first + remaining}
+        lengths = {r.request_id: len(r.output.token_ids) for r in first + remaining}
         assert sorted(lengths.values()) == [1, 2, 3]
 
-    def test_generated_tokens_match_whole_batch_release(self, repo):
+    def test_generated_tokens_match_per_request_decode(self, repo):
+        """Ragged budgets on 2 slots: admissions and retirements mid-flight
+        must leave every request's tokens those of a lone greedy decode."""
         requests = [gen_request(max_new_tokens=n, seed=n) for n in (6, 2, 4, 3, 5)]
-        continuous = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
-        whole = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        clones = [
-            InferenceRequest(
-                r.model, r.family, r.token_ids, max_new_tokens=r.max_new_tokens
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        results = engine.serve(requests)
+        model = repo.get("gpt2-xl", WorkloadFamily.LM).model
+        for request, result in zip(requests, results):
+            expected = reference_decode(
+                model, request.token_ids, request.sampling, engine.kv_cache_config
             )
-            for r in requests
-        ]
-        results_a = continuous.serve(requests)
-        results_b = whole.serve(clones)
-        tokens_a = [r.output["generated_tokens"] for r in results_a]
-        tokens_b = [r.output["generated_tokens"] for r in results_b]
-        assert tokens_a == tokens_b
+            assert result.output.token_ids == expected
 
     def test_kv_accounting_exposed(self, repo):
         scheduler = ContinuousBatchingScheduler(
@@ -96,7 +94,7 @@ class TestSlotLifecycle:
         assert scheduler.kv_fp32_bytes > 0
         assert 0 < scheduler.kv_cache_bytes < scheduler.kv_fp32_bytes
         result = scheduler.run_until_idle()[0]
-        assert result.output["kv_cache"]["kv_fp32_bytes"] > 0
+        assert result.output.kv_cache["kv_fp32_bytes"] > 0
 
 
 class TestPrefixSharing:
@@ -112,12 +110,12 @@ class TestPrefixSharing:
 
         scheduler.submit(request())
         first = scheduler.run_until_idle()[0]
-        assert first.output["kv_cache"]["prefix_shared_tokens"] == 0
+        assert first.output.kv_cache["prefix_shared_tokens"] == 0
         scheduler.submit(request())
         second = scheduler.run_until_idle()[0]
         # 16-token prompt, page 4: at most (16-1)//4 = 3 pages shareable.
-        assert second.output["kv_cache"]["prefix_shared_tokens"] == 12
-        assert second.output["generated_tokens"] == first.output["generated_tokens"]
+        assert second.output.kv_cache["prefix_shared_tokens"] == 12
+        assert second.output.token_ids == first.output.token_ids
 
     def test_prefix_sharing_disabled_by_config(self, repo):
         config = KVCacheConfig(bits=4, page_size=4, prefix_sharing=False)
@@ -128,7 +126,7 @@ class TestPrefixSharing:
                 InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=2)
             )
             result = scheduler.run_until_idle()[0]
-            assert result.output["kv_cache"]["prefix_shared_tokens"] == 0
+            assert result.output.kv_cache["prefix_shared_tokens"] == 0
         assert scheduler.page_pool.num_prefix_nodes == 0
 
     def test_shared_and_cold_paths_generate_identical_tokens(self, repo):
@@ -147,7 +145,7 @@ class TestPrefixSharing:
                         "gpt2-xl", WorkloadFamily.LM, prompt, max_new_tokens=4
                     )
                 )
-                tokens.append(scheduler.run_until_idle()[0].output["generated_tokens"])
+                tokens.append(scheduler.run_until_idle()[0].output.token_ids)
             outputs[sharing] = tokens
         assert outputs[True] == outputs[False]
 
@@ -213,9 +211,9 @@ class TestEngineWiring:
         results = {r.request_id: r for r in engine.serve(requests)}
         assert len(results) == 3
         gen_out = results[requests[0].request_id].output
-        assert len(gen_out["generated_tokens"]) == 3
+        assert len(gen_out.token_ids) == 3
         score_out = results[requests[1].request_id].output
-        assert "generated_tokens" not in score_out and "next_tokens" in score_out
+        assert score_out.token_ids == [] and len(score_out.next_tokens) == 1
         summary = engine.stats.summary()
         assert summary.decode_rounds > 0
         assert summary.generated_tokens == 8
@@ -250,19 +248,6 @@ class TestEngineWiring:
         with pytest.raises(ServingError, match="positions"):
             engine.result(too_long.request_id)
 
-    def test_whole_batch_mode_position_overflow_fails_batch(self, repo):
-        engine = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        config = repo.get("gpt2-xl", WorkloadFamily.LM).model.config
-        request = gen_request(
-            seq_len=config.max_positions, max_new_tokens=2, seed=8
-        )
-        engine.submit(request)
-        engine.run_until_idle()
-        with pytest.raises(ServingError, match="positions"):
-            engine.result(request.request_id)
-
     def test_position_budget_boundary_request_is_served(self, repo):
         """The last generated token is never embedded, so a full-table prompt
         can still generate exactly one token."""
@@ -270,7 +255,7 @@ class TestEngineWiring:
         config = repo.get("gpt2-xl", WorkloadFamily.LM).model.config
         request = gen_request(seq_len=config.max_positions, max_new_tokens=1, seed=8)
         results = engine.serve([request])
-        assert len(results[0].output["generated_tokens"]) == 1
+        assert len(results[0].output.token_ids) == 1
 
     def test_out_of_vocabulary_prompt_fails_only_that_request(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=4, max_wait=0.0)
@@ -313,30 +298,33 @@ class TestEngineWiring:
         assert engine.lm_scheduler.num_active == 0
         # ...and later generation traffic is served normally.
         revived = engine.serve([gen_request(max_new_tokens=2, seed=21)])
-        assert len(revived[0].output["generated_tokens"]) == 2
+        assert len(revived[0].output.token_ids) == 2
 
     def test_score_request_logits_independent_of_cobatched_generation(self, repo):
-        """A score-only LM request's logits must not change when a generation
-        request shares its micro-batch (whole-batch mode)."""
+        """A score-only LM request's logits must not change when it is
+        submitted while a generation request is in flight."""
         prompt = np.random.default_rng(30).integers(0, 96, size=8)
-        alone = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        solo = alone.serve(
-            [InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, top_k=3)]
-        )[0]
-        mixed_engine = ServingEngine(
-            repository=repo, max_batch_size=2, max_wait=0.0, continuous_batching=False
-        )
-        mixed = mixed_engine.serve(
-            [
-                InferenceRequest("gpt2-xl", WorkloadFamily.LM, prompt, top_k=3),
-                gen_request(max_new_tokens=4, seed=31),
-            ]
-        )[0]
-        assert mixed.output["next_tokens"] == solo.output["next_tokens"]
-        assert mixed.output["log_probs"] == solo.output["log_probs"]
-        assert "generated_tokens" not in mixed.output
+
+        def score_request():
+            return InferenceRequest(
+                "gpt2-xl", WorkloadFamily.LM, prompt, sampling=SamplingParams(logprobs=3)
+            )
+
+        alone = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        solo = alone.serve([score_request()])[0]
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        generation = gen_request(max_new_tokens=6, seed=31)
+        engine.submit(generation)
+        engine.step(force=True)  # admitted and decoding
+        assert engine.lm_scheduler.num_active == 1
+        score = score_request()
+        engine.submit(score)
+        results = {r.request_id: r for r in engine.run_until_idle()}
+        mixed = results[score.request_id]
+        assert mixed.output.next_tokens == solo.output.next_tokens
+        assert mixed.output.log_probs == solo.output.log_probs
+        assert mixed.output.token_ids == [] and mixed.output.finish_reason is None
+        assert len(results[generation.request_id].output.token_ids) == 6
 
     def test_pending_counts_scheduler_sequences(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
@@ -344,36 +332,3 @@ class TestEngineWiring:
         assert engine.pending == 1
         engine.run_until_idle()
         assert engine.pending == 0
-
-
-class TestDecodeMicroRounds:
-    """decode_micro_rounds batches several plain rounds into one step()."""
-
-    def test_token_identity_and_fewer_steps(self, repo):
-        def run(micro_rounds):
-            scheduler = ContinuousBatchingScheduler(
-                repo, num_slots=2,
-                cache_config=KVCacheConfig(bits=4, page_size=8),
-                decode_micro_rounds=micro_rounds,
-            )
-            requests = [gen_request(seq_len=11, max_new_tokens=9, seed=s)
-                        for s in (41, 42)]
-            ids = [scheduler.submit(r) for r in requests]
-            steps = 0
-            outputs = {}
-            while len(scheduler):
-                for result in scheduler.step():
-                    outputs[result.request_id] = result.output["generated_tokens"]
-                steps += 1
-                assert steps < 100
-            return [outputs[i] for i in ids], steps
-
-        single_tokens, single_steps = run(1)
-        multi_tokens, multi_steps = run(3)
-        assert multi_tokens == single_tokens
-        assert multi_steps < single_steps
-
-    def test_validation(self, repo):
-        with pytest.raises(ServingError):
-            ContinuousBatchingScheduler(repo, num_slots=1,
-                                        decode_micro_rounds=0)
