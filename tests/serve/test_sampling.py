@@ -494,6 +494,20 @@ class TestRequestOutput:
         as_dict = output.as_dict()
         assert as_dict["token_ids"] == output.token_ids
 
+    @pytest.mark.parametrize("max_new_tokens", [1, 3])
+    def test_generation_final_report_width(self, repo, max_new_tokens):
+        """A generation request reports max(1, logprobs) final candidates,
+        taken from the distribution its last token was drawn from."""
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        params = SamplingParams(max_new_tokens=max_new_tokens, logprobs=4)
+        output = engine.serve([sampled_request(params, seed=82)])[0].output
+        assert len(output.token_ids) == max_new_tokens
+        assert len(output.next_tokens) == len(output.log_probs) == 4
+        assert output.next_tokens[0] == output.token_ids[-1]  # greedy
+        last = output.top_logprobs[-1]
+        assert output.next_tokens == [token for token, _ in last]
+        assert output.log_probs == [lp for _, lp in last]
+
     def test_stats_latency_fields_populated(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=4, max_wait=0.0)
         engine.serve([gen_request(max_new_tokens=5, seed=81)])

@@ -85,6 +85,37 @@ class TestSlotLifecycle:
             )
             assert result.output.token_ids == expected
 
+    def test_one_decode_round_per_step(self, repo):
+        """Prefill yields each sequence's first token and every later step()
+        runs exactly one decode round, so a 9-token budget takes 9 steps."""
+        scheduler = ContinuousBatchingScheduler(
+            repo, num_slots=2, cache_config=KVCacheConfig(bits=4, page_size=8)
+        )
+        for seed in (41, 42):
+            scheduler.submit(gen_request(seq_len=11, max_new_tokens=9, seed=seed))
+        steps, finished = 0, []
+        while len(scheduler):
+            finished.extend(scheduler.step())
+            steps += 1
+            assert steps <= 9
+            if steps < 9:
+                assert finished == [] and scheduler.num_active == 2
+        assert steps == 9
+        assert [len(r.output.token_ids) for r in finished] == [9, 9]
+
+    def test_caller_driven_waves_match_single_serve(self, repo):
+        """Releasing work one max_batch_size wave at a time is a caller
+        policy on the same loop: it must not change any request's tokens."""
+        requests = [gen_request(max_new_tokens=n, seed=50 + n) for n in (5, 2, 4, 3)]
+        together = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        expected = [r.output.token_ids for r in together.serve(requests)]
+        waves = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        got = []
+        for start in range(0, len(requests), 2):
+            got += [r.output.token_ids for r in waves.serve(requests[start:start + 2])]
+        assert got == expected
+        assert [len(tokens) for tokens in got] == [5, 2, 4, 3]
+
     def test_kv_accounting_exposed(self, repo):
         scheduler = ContinuousBatchingScheduler(
             repo, num_slots=2, cache_config=KVCacheConfig(bits=4, page_size=4)
@@ -256,6 +287,17 @@ class TestEngineWiring:
         request = gen_request(seq_len=config.max_positions, max_new_tokens=1, seed=8)
         results = engine.serve([request])
         assert len(results[0].output.token_ids) == 1
+
+    def test_position_budget_one_past_boundary_fails(self, repo):
+        """A full-table prompt asking for a second token needs one position
+        more than the table has: the request fails with a clear error."""
+        engine = ServingEngine(repository=repo, max_batch_size=2, max_wait=0.0)
+        config = repo.get("gpt2-xl", WorkloadFamily.LM).model.config
+        request = gen_request(seq_len=config.max_positions, max_new_tokens=2, seed=8)
+        engine.submit(request)
+        assert engine.run_until_idle() == []
+        with pytest.raises(ServingError, match="positions"):
+            engine.result(request.request_id)
 
     def test_out_of_vocabulary_prompt_fails_only_that_request(self, repo):
         engine = ServingEngine(repository=repo, max_batch_size=4, max_wait=0.0)
